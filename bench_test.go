@@ -447,8 +447,8 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkCompaction measures one full updatable-index compaction —
-// merge the delta, drop tombstones, rebuild model + layer + Fenwick tree
-// through the pooled BuildNext pipeline — after a fixed write burst. b.N
+// merge the delta, drop tombstones, rebuild model + layer through the
+// pooled BuildNext pipeline — after a fixed write burst. b.N
 // counts compactions.
 func BenchmarkCompaction(b *testing.B) {
 	keys := keysFor(b, dataset.Spec{Name: dataset.Face, Bits: 64})

@@ -87,7 +87,7 @@ func New[K kv.Key](keys []K, cfg Config) (*Index[K], error) {
 
 // Wrap takes ownership of an existing single-threaded updatable.Index and
 // serves it concurrently. The first snapshot shares the index's base
-// table, Fenwick prefix sums and delta buffer without copying (Freeze);
+// table, tombstone state and delta buffer without copying (Freeze);
 // the caller must not write to ix afterwards through its own reference.
 func Wrap[K kv.Key](ix *updatable.Index[K], policy CompactionPolicy) (*Index[K], error) {
 	cfg := Config{Layer: ix.Config().Layer, Policy: policy}
@@ -186,7 +186,7 @@ func (ix *Index[K]) Lookup(q K) (rank int, found bool) {
 // writing result i into out[i] and returning the result slice (out when it
 // has capacity). The base probes run through the staged
 // core.Table.FindBatch pipeline of the frozen view; the generation
-// corrections are applied per lane.
+// corrections are applied per lane when there are pending writes.
 //
 //shift:lockfree
 func (ix *Index[K]) FindBatch(qs []K, out []int) []int {
@@ -204,8 +204,10 @@ func (ix *Index[K]) FindBatch(qs []K, out []int) []int {
 func (ix *Index[K]) FindBatchTagged(qs []K, out []int) ([]int, uint64) {
 	s := ix.snap.Load()
 	out = s.view.FindBatch(qs, out)
-	for i, q := range qs {
-		out[i] += s.genRank(q)
+	if s.pending() > 0 {
+		for i, q := range qs {
+			out[i] += s.genRank(q)
+		}
 	}
 	return out, s.tag
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // A snapshot is one immutable, fully-consistent state of the index: a
-// frozen updatable.View (base Shift-Table + tombstone Fenwick + sealed
-// delta buffer, shared without copying via updatable.Index.Freeze) plus a
-// stack of write generations layered on top. Readers load the current
-// snapshot with a single atomic pointer load and never see it change
-// underneath them; writers and the compactor publish successors.
+// frozen updatable.View (base Shift-Table, sealed delta buffer and, once a
+// base key is deleted, the tombstone Fenwick; shared without copying via
+// updatable.Index.Freeze) plus a stack of write generations layered on
+// top. Readers load the current snapshot with a single atomic pointer
+// load and never see it change underneath them; writers and the
+// compactor publish successors.
 //
 // The last generation is the write head; every write publishes a successor
 // snapshot with a fresh copy of it. To keep that copy small the head is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -82,8 +83,11 @@ func Run(ctx context.Context, srv *http.Server, drain time.Duration, onDrain fun
 }
 
 // RunListener is Run over an already-bound listener (so callers can
-// report the bound address before serving, e.g. with ":0").
+// report the bound address before serving, e.g. with ":0"). It chains a
+// ConnState hook onto srv (keeping any hook already set) so the drain can
+// close connections that never started a request.
 func RunListener(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration, onDrain func()) error {
+	unused := trackUnused(srv)
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -106,10 +110,80 @@ func RunListener(ctx context.Context, srv *http.Server, ln net.Listener, drain t
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
+	defer unused.drain().Stop()
 	if err := srv.Shutdown(sctx); err != nil {
 		srv.Close()
 		<-errc
 		return fmt.Errorf("serve: drain exceeded %s: %w", drain, err)
 	}
 	return <-errc
+}
+
+// unusedGrace is how long a connection that has not started a request
+// may still do so once the drain begins. A request whose bytes reached
+// the server just before the drain is parsed well within it; a dial that
+// never sends is closed when it ends. A var so tests can widen it.
+var unusedGrace = 250 * time.Millisecond
+
+// unusedConns tracks the connections of one server that were accepted
+// but have not started a request (http.StateNew). http.Server.Shutdown
+// counts such a connection as busy for its first 5s (net/http's guard
+// against closing one whose request is still arriving), so a client
+// that dials and never sends — a speculative dial left in a transport's
+// idle pool, say — would hold the drain that long. drain gives them
+// unusedGrace to start a request and then closes the rest, and any
+// accepted after that point.
+type unusedConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// trackUnused installs the tracking hook on srv ahead of the one already
+// set, if any. The hook does O(1) work per state change.
+func trackUnused(srv *http.Server) *unusedConns {
+	u := &unusedConns{conns: make(map[net.Conn]struct{})}
+	next := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		u.observe(c, st)
+		if next != nil {
+			next(c, st)
+		}
+	}
+	return u
+}
+
+func (u *unusedConns) observe(c net.Conn, st http.ConnState) {
+	if st == http.StateIdle {
+		return // always follows StateActive, which already dropped c
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(u.conns, c)
+	case u.closed:
+		c.Close()
+	default:
+		u.conns[c] = struct{}{}
+	}
+}
+
+// drain closes, after unusedGrace, every connection that is still
+// waiting for its first request then. Stop the returned timer once the
+// server is down.
+func (u *unusedConns) drain() *time.Timer {
+	return time.AfterFunc(unusedGrace, u.closeAll)
+}
+
+// closeAll closes every connection still waiting for its first request
+// and makes the hook close later arrivals on accept.
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closed = true
+	for c := range u.conns {
+		c.Close()
+	}
+	clear(u.conns)
 }

@@ -8,13 +8,16 @@
 //     the paper's IM model, rebuilt only on compaction;
 //   - deletions as tombstones whose position drift is tracked by a Fenwick
 //     tree (a deleted key shifts every logical rank after it by one — the
-//     prefix sum corrects that drift in O(log n));
+//     prefix sum corrects that drift in O(log n)); the bitmap and tree are
+//     created by the first base delete, so an index that has not lost a
+//     base key since its last rebuild pays for neither;
 //   - insertions in a small sorted delta buffer, merged into the base when
-//     it exceeds a threshold (compaction rebuilds model, layer and tree).
+//     it exceeds a threshold (compaction rebuilds model and layer and drops
+//     the tombstones).
 //
 // Lookups stay lower-bound exact at all times: the logical rank of a query
-// is its base rank, minus the deleted-before count from the Fenwick tree,
-// plus its delta-buffer rank.
+// is its base rank, minus the deleted-before count from the Fenwick tree
+// (when any base key is deleted), plus its delta-buffer rank.
 //
 // The read state lives in View (view.go); Index adds the write side.
 // Freeze hands out the current View as an immutable snapshot — the index
@@ -27,7 +30,6 @@ import (
 
 	"repro/internal/cdfmodel"
 	"repro/internal/core"
-	"repro/internal/fenwick"
 	"repro/internal/kv"
 )
 
@@ -76,7 +78,7 @@ func NewFrom[K kv.Key](keys []K, cfg Config, prev *core.Table[K]) (*Index[K], er
 	return ix, nil
 }
 
-// setBase installs a new base array and rebuilds model, layer and trees,
+// setBase installs a new base array and rebuilds model and layer,
 // carrying the current base table's pools over.
 func (ix *Index[K]) setBase(keys []K) error {
 	var prev *core.Table[K]
@@ -95,16 +97,7 @@ func (ix *Index[K]) setBaseFrom(keys []K, prev *core.Table[K]) error {
 	if err != nil {
 		return err
 	}
-	tree, err := fenwick.New(len(keys))
-	if err != nil {
-		return err
-	}
-	ix.v = &View[K]{
-		base:    keys,
-		table:   table,
-		dead:    make([]bool, len(keys)),
-		delTree: tree,
-	}
+	ix.v = &View[K]{base: keys, table: table}
 	ix.frozen = false
 	ix.maxDelta = resolveMaxDelta(ix.cfg.MaxDelta, len(keys))
 	return nil
@@ -119,10 +112,11 @@ func (ix *Index[K]) Config() Config { return ix.cfg }
 func (ix *Index[K]) View() *View[K] { return ix.v }
 
 // Freeze returns the current view as an immutable snapshot: the snapshot
-// shares the base table, Fenwick tree and delta buffer with the index
+// shares the base table, tombstone state and delta buffer with the index
 // without copying, and the index clones those mutable parts before its
-// next write (an O(N) copy, paid once per freeze, not per write). The
-// returned view is safe for concurrent readers for as long as they hold it.
+// next write (an O(N) copy once there are tombstones, O(delta) before;
+// paid once per freeze, not per write). The returned view is safe for
+// concurrent readers for as long as they hold it.
 func (ix *Index[K]) Freeze() *View[K] {
 	ix.frozen = true
 	return ix.v
@@ -190,9 +184,10 @@ func (ix *Index[K]) Insert(k K) error {
 
 // Delete removes one live occurrence of k, reporting whether one existed.
 // Delta occurrences are removed first (cheap); base occurrences become
-// tombstones tracked by the Fenwick tree. The hit is located on the
-// current view before detaching from a frozen snapshot, so a miss never
-// pays the copy-on-write clone; positions carry over because the clone is
+// tombstones tracked by the Fenwick tree, which the first such delete
+// creates on the detached view. The hit is located on the current view
+// before detaching from a frozen snapshot, so a miss never pays the
+// copy-on-write clone; positions carry over because the clone is
 // content-identical.
 func (ix *Index[K]) Delete(k K) bool {
 	v := ix.v
@@ -202,11 +197,8 @@ func (ix *Index[K]) Delete(k K) bool {
 		return true
 	}
 	for p := v.table.Find(k); p < len(v.base) && v.base[p] == k; p++ {
-		if !v.dead[p] {
-			v = ix.mutable()
-			v.dead[p] = true
-			v.delTree.Add(p, 1)
-			v.deadCount++
+		if !v.isDead(p) {
+			ix.mutable().tombstone(p)
 			return true
 		}
 	}
@@ -214,13 +206,14 @@ func (ix *Index[K]) Delete(k K) bool {
 }
 
 // Compact merges the delta buffer and drops tombstones, rebuilding the
-// model, Shift-Table and Fenwick tree over the merged base.
+// model and Shift-Table over the merged base, which starts with no
+// tombstone state.
 func (ix *Index[K]) Compact() error {
 	v := ix.v // read-only pass; setBase installs a fresh view
 	merged := make([]K, 0, v.Len())
 	bp, dp := 0, 0
 	for bp < len(v.base) || dp < len(v.delta) {
-		for bp < len(v.base) && v.dead[bp] {
+		for v.isDead(bp) {
 			bp++
 		}
 		switch {

@@ -11,9 +11,15 @@ import (
 // buffer. All read paths (Find, Lookup, Scan, the batch entry points) are
 // methods on View; Index embeds one and mutates it in place.
 //
+// The tombstone state (dead and delTree) is nil until the first base
+// Delete creates it, on a view the index owns (never a frozen one), and
+// every reader treats nil as "no tombstones". A view that has lost no base
+// key therefore holds no per-key tombstone arrays and its lookups skip
+// the Fenwick walk.
+//
 // A View obtained from Index.Freeze is immutable and safe for concurrent
-// readers: it shares the base table, Fenwick tree and delta slice with the
-// index without copying, and the index copy-on-writes those parts before
+// readers: it shares the base table, tombstone state and delta slice with
+// the index without copying, and the index copy-on-writes those parts before
 // its next mutation instead of touching the frozen state.
 // internal/concurrent builds its lock-free snapshots on exactly this —
 // every published snapshot holds a frozen View plus immutable write
@@ -21,8 +27,8 @@ import (
 type View[K kv.Key] struct {
 	base      []K // sorted, may contain tombstoned slots
 	table     *core.Table[K]
-	dead      []bool        // tombstones, parallel to base
-	delTree   *fenwick.Tree // prefix counts of tombstones
+	dead      []bool        // tombstones, parallel to base; nil when none
+	delTree   *fenwick.Tree // prefix counts of tombstones; nil when none
 	deadCount int
 
 	delta []K // sorted insert buffer
@@ -50,12 +56,24 @@ func (v *View[K]) Table() *core.Table[K] { return v.table }
 func (v *View[K]) ModelFingerprint() uint64 { return v.table.ModelFingerprint() }
 
 // SizeBytes reports the view's auxiliary footprint beyond the key data:
-// correction layer, host model, tombstone bitmap, Fenwick tree, and the
-// insert buffer.
+// correction layer, host model, tombstone bitmap and Fenwick tree (once a
+// base key has been deleted), and the insert buffer.
 func (v *View[K]) SizeBytes() int {
-	return v.table.SizeBytes() + v.table.Model().SizeBytes() +
-		len(v.dead) + 8*(v.delTree.Len()+1) + len(v.delta)*kv.Width[K]()
+	n := v.table.SizeBytes() + v.table.Model().SizeBytes() + len(v.delta)*kv.Width[K]()
+	if v.delTree != nil {
+		n += len(v.dead) + 8*(v.delTree.Len()+1)
+	}
+	return n
 }
+
+// plain reports whether the view's logical ranks are its base ranks: no
+// tombstones and an empty delta buffer. FindBatch skips its per-lane
+// correction pass when it holds.
+func (v *View[K]) plain() bool { return v.delTree == nil && len(v.delta) == 0 }
+
+// isDead reports whether base slot p is tombstoned (never, before the
+// first base delete).
+func (v *View[K]) isDead(p int) bool { return p < len(v.dead) && v.dead[p] }
 
 // Find returns the logical lower-bound rank of q among live keys: the
 // number of live keys < q, which is the index the first key >= q would
@@ -68,9 +86,12 @@ func (v *View[K]) Find(q K) int {
 
 // rankAt combines a base-table position and a delta-buffer position into
 // the logical rank: the base rank minus the deleted-before count from the
-// Fenwick tree, plus the delta rank.
+// Fenwick tree (when there are tombstones), plus the delta rank.
 func (v *View[K]) rankAt(basePos, deltaPos int) int {
-	return basePos - int(v.delTree.PrefixSum(basePos)) + deltaPos
+	if v.delTree != nil {
+		basePos -= int(v.delTree.PrefixSum(basePos))
+	}
+	return basePos + deltaPos
 }
 
 // Lookup reports whether q is a live key and its logical rank. The base
@@ -88,7 +109,7 @@ func (v *View[K]) Lookup(q K) (rank int, found bool) {
 func (v *View[K]) liveAt(q K, basePos, deltaPos int) bool {
 	// Any live duplicate of q in the base?
 	for p := basePos; p < len(v.base) && v.base[p] == q; p++ {
-		if !v.dead[p] {
+		if !v.isDead(p) {
 			return true
 		}
 	}
@@ -108,7 +129,7 @@ func (v *View[K]) Count(q K) int {
 func (v *View[K]) countAt(q K, basePos, deltaPos int) int {
 	n := 0
 	for p := basePos; p < len(v.base) && v.base[p] == q; p++ {
-		if !v.dead[p] {
+		if !v.isDead(p) {
 			n++
 		}
 	}
@@ -151,9 +172,14 @@ func (v *View[K]) LookupCountBatch(qs []K, ranks, counts []int) ([]int, []int) {
 // out[i] and returning the result slice (out when it has capacity). The
 // base-table probes run through the staged core.Table.FindBatch pipeline;
 // the Fenwick corrections and delta-buffer probes are then applied per
-// lane. Results are bit-identical to calling Find per query.
+// lane, unless the view has neither tombstones nor a delta, when the base
+// ranks are already the answer. Results are bit-identical to calling Find
+// per query.
 func (v *View[K]) FindBatch(qs []K, out []int) []int {
 	out = v.table.FindBatch(qs, out)
+	if v.plain() {
+		return out
+	}
 	for i, q := range qs {
 		out[i] = v.rankAt(out[i], kv.LowerBound(v.delta, q))
 	}
@@ -189,7 +215,7 @@ func (v *View[K]) Scan(a, b K, fn func(k K) bool) {
 	dp := kv.LowerBound(v.delta, a)
 	for {
 		// Skip tombstones.
-		for bp < len(v.base) && v.dead[bp] {
+		for v.isDead(bp) {
 			bp++
 		}
 		baseOK := bp < len(v.base) && v.base[bp] <= b
@@ -214,14 +240,30 @@ func (v *View[K]) Scan(a, b K, fn func(k K) bool) {
 // clone returns a view sharing the immutable base array and table but with
 // independent copies of the parts Index mutates in place (tombstone bitmap,
 // Fenwick tree, delta buffer). Index calls it to detach from a frozen view
-// before the next write.
+// before the next write. Absent tombstone state stays absent.
 func (v *View[K]) clone() *View[K] {
-	return &View[K]{
+	c := &View[K]{
 		base:      v.base,
 		table:     v.table,
-		dead:      append([]bool(nil), v.dead...),
-		delTree:   v.delTree.Clone(),
 		deadCount: v.deadCount,
 		delta:     append([]K(nil), v.delta...),
 	}
+	if v.delTree != nil {
+		c.dead = append([]bool(nil), v.dead...)
+		c.delTree = v.delTree.Clone()
+	}
+	return c
+}
+
+// tombstone marks base slot p dead, creating the tombstone state on the
+// first call. Only Index calls it, on a view it owns (after mutable), so a
+// frozen view never changes.
+func (v *View[K]) tombstone(p int) {
+	if v.delTree == nil {
+		v.dead = make([]bool, len(v.base))
+		v.delTree = fenwick.FromBools(v.dead)
+	}
+	v.dead[p] = true
+	v.delTree.Add(p, 1)
+	v.deadCount++
 }
